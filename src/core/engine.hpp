@@ -79,6 +79,33 @@ struct AggregatorState<Program, false> {
 
 }  // namespace detail
 
+/// What the engine reads from the graph it runs on: the vertex id/slot
+/// layout, out-degrees, and neighbours visited in CSR order through
+/// callbacks. The resident graph::CsrGraph satisfies it with inline loops
+/// over its arrays; a source backed by storage can satisfy it by streaming
+/// its edge arrays through a cache.
+template <typename G>
+concept EdgeSource = requires(const G& g, std::size_t slot, graph::vid_t id) {
+  { g.num_vertices() } -> std::convertible_to<std::size_t>;
+  { g.num_slots() } -> std::convertible_to<std::size_t>;
+  { g.first_slot() } -> std::convertible_to<std::size_t>;
+  { g.num_edges() } -> std::convertible_to<graph::eid_t>;
+  { g.has_in_edges() } -> std::convertible_to<bool>;
+  { g.slot_of(id) } -> std::convertible_to<std::size_t>;
+  { g.id_of(slot) } -> std::convertible_to<graph::vid_t>;
+  { g.out_degree(slot) } -> std::convertible_to<std::size_t>;
+  g.for_each_out_target(slot, [](graph::vid_t) {});
+  g.for_each_in_neighbour(slot, [](graph::vid_t) {});
+};
+
+/// Edge sources that hold their adjacency in memory and hand it out as
+/// spans, which Context::out_neighbours/out_weights expose to programs.
+template <typename G>
+concept SpanEdgeSource = requires(const G& g, std::size_t slot) {
+  { g.out_neighbours(slot) } -> std::same_as<std::span<const graph::vid_t>>;
+  { g.out_weights(slot) } -> std::same_as<std::span<const graph::weight_t>>;
+};
+
 /// The iPregel execution engine: one fully-typed instantiation per
 /// (program, combiner version, selection version) — the compile-time
 /// multi-version design of the paper's section 3.1, with C++ template
@@ -90,6 +117,9 @@ struct AggregatorState<Program, false> {
 ///                 delivery (mutex push / spinlock push / pull broadcast)
 ///  - `Bypass`   — whether the section-4 selection bypass replaces the
 ///                 scan-all selection phase
+///  - `Edges`    — where edges are read from (see EdgeSource): the
+///                 resident CSR by default, or a source that streams
+///                 edges from storage for graphs that do not fit in memory
 ///
 /// Addressing (section 5) needs no template parameter: the graph carries
 /// its id->slot mapping (direct = offset 0; desolate = offset 0 with padded
@@ -105,7 +135,8 @@ struct AggregatorState<Program, false> {
 /// `Program::compute` on them in parallel, delivers messages into the next
 /// superstep's generation, and terminates once no vertex is active and no
 /// message is in flight.
-template <VertexProgram Program, CombinerKind Combiner, bool Bypass>
+template <VertexProgram Program, CombinerKind Combiner, bool Bypass,
+          EdgeSource Edges = graph::CsrGraph>
 class Engine {
   static_assert(!Bypass || Program::always_halts,
                 "selection bypass requires a program whose vertices vote to "
@@ -196,12 +227,16 @@ class Engine {
       return engine_.graph_.out_degree(slot_);
     }
     [[nodiscard]] std::span<const graph::vid_t> out_neighbours()
-        const noexcept {
+        const noexcept
+      requires SpanEdgeSource<Edges>
+    {
       return engine_.graph_.out_neighbours(slot_);
     }
     /// Out-edge weights; only valid when the graph was built with weights.
     [[nodiscard]] std::span<const graph::weight_t> out_weights()
-        const noexcept {
+        const noexcept
+      requires SpanEdgeSource<Edges>
+    {
       return engine_.graph_.out_weights(slot_);
     }
 
@@ -222,7 +257,7 @@ class Engine {
   /// (values, mailboxes, locks/outboxes, frontier) and registers it with
   /// the MemoryTracker. Throws std::invalid_argument when the pull
   /// combiner is selected but the graph has no in-neighbour lists.
-  Engine(const graph::CsrGraph& graph, Program program = {},
+  Engine(const Edges& graph, Program program = {},
          EngineOptions options = {}, runtime::ThreadPool* pool = nullptr)
       : graph_(graph),
         program_(std::move(program)),
@@ -479,9 +514,12 @@ class Engine {
     return values_[graph_.slot_of(id)];
   }
 
-  [[nodiscard]] const graph::CsrGraph& graph() const noexcept {
-    return graph_;
+  /// values() as the vector that holds them.
+  [[nodiscard]] const std::vector<Value>& value_vector() const noexcept {
+    return values_;
   }
+
+  [[nodiscard]] const Edges& graph() const noexcept { return graph_; }
   [[nodiscard]] const Program& program() const noexcept { return program_; }
 
   /// Captures a snapshot of the engine's state. Only meaningful at a
@@ -716,11 +754,19 @@ class Engine {
   }
 
   /// Cached ft::graph_fingerprint of the bound graph (O(E) on first use).
+  /// Snapshots are bound to it, so only an edge source with a content
+  /// fingerprint can be checkpointed.
   [[nodiscard]] std::uint64_t fingerprint() const {
-    if (fingerprint_ == 0) {
-      fingerprint_ = ft::graph_fingerprint(graph_);
+    if constexpr (requires { ft::graph_fingerprint(graph_); }) {
+      if (fingerprint_ == 0) {
+        fingerprint_ = ft::graph_fingerprint(graph_);
+      }
+      return fingerprint_;
+    } else {
+      throw std::invalid_argument(
+          "snapshots are bound to the graph's content fingerprint, which "
+          "this edge source does not provide");
     }
-    return fingerprint_;
   }
 
   void reset_checkpoint_pacing() noexcept {
@@ -991,11 +1037,15 @@ class Engine {
       return engine_.graph_.out_degree(slot_);
     }
     [[nodiscard]] std::span<const graph::vid_t> out_neighbours()
-        const noexcept {
+        const noexcept
+      requires SpanEdgeSource<Edges>
+    {
       return engine_.graph_.out_neighbours(slot_);
     }
     [[nodiscard]] std::span<const graph::weight_t> out_weights()
-        const noexcept {
+        const noexcept
+      requires SpanEdgeSource<Edges>
+    {
       return engine_.graph_.out_weights(slot_);
     }
 
@@ -1285,7 +1335,7 @@ class Engine {
         s.was_halted = halted_[slot] != 0;
         if constexpr (Combiner == CombinerKind::kPull) {
           if (superstep_ > 0) {
-            for (const graph::vid_t u : graph_.in_neighbours(slot)) {
+            graph_.for_each_in_neighbour(slot, [&](graph::vid_t u) {
               Msg m{};
               if (mail_->fetch(cur_gen_, graph_.slot_of(u), m)) {
                 if (s.has_msg) {
@@ -1295,7 +1345,7 @@ class Engine {
                   s.has_msg = true;
                 }
               }
-            }
+            });
           }
         } else {
           if (mail_->has_message(cur_gen_, slot)) {
@@ -1591,17 +1641,19 @@ class Engine {
       // outbox and combine locally. Read-only across vertices, writes stay
       // intra-vertex: race-free by construction.
       if (superstep_ > 0) {
-        for (const graph::vid_t u : graph_.in_neighbours(slot)) {
-          Msg m{};
-          if (mail_->fetch(cur, graph_.slot_of(u), m)) {
-            if (has) {
-              Program::combine(combined, m);
-            } else {
-              combined = m;
-              has = true;
+        read_edges(slot, tid, [&] {
+          graph_.for_each_in_neighbour(slot, [&](graph::vid_t u) {
+            Msg m{};
+            if (mail_->fetch(cur, graph_.slot_of(u), m)) {
+              if (has) {
+                Program::combine(combined, m);
+              } else {
+                combined = m;
+                has = true;
+              }
             }
-          }
-        }
+          });
+        });
       }
     } else {
       has = mail_->consume(cur, slot, combined);
@@ -1634,24 +1686,46 @@ class Engine {
   }
 
   void do_broadcast(std::size_t slot, std::size_t tid, const Msg& msg) {
-    const auto neighbours = graph_.out_neighbours(slot);
+    const std::size_t degree = graph_.out_degree(slot);
     if constexpr (Combiner == CombinerKind::kPull) {
-      if (!neighbours.empty()) {
+      if (degree != 0) {
         mail_->broadcast(nxt_gen_, slot, msg);
       }
       if constexpr (Bypass) {
         // Pull senders never touch recipient state, so recipients are
         // claimed through the frontier's dedup bitmap.
-        for (const graph::vid_t dst : neighbours) {
-          frontier_->add(graph_.slot_of(dst), tid);
-        }
+        read_edges(slot, tid, [&] {
+          graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
+            frontier_->add(graph_.slot_of(dst), tid);
+          });
+        });
       }
     } else {
-      for (const graph::vid_t dst : neighbours) {
-        deliver_push(graph_.slot_of(dst), tid, msg);
-      }
+      read_edges(slot, tid, [&] {
+        graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
+          deliver_push(graph_.slot_of(dst), tid, msg);
+        });
+      });
     }
-    counters_[tid].sent += neighbours.size();
+    counters_[tid].sent += degree;
+  }
+
+  /// Runs `read`, an edge read on behalf of `slot`. An edge source whose
+  /// reads can fail names the RunErrorKind of those failures
+  /// (`read_error_kind`); they surface as that kind with the vertex's
+  /// context, also when the read ran inside compute() through broadcast().
+  template <typename Read>
+  void read_edges(std::size_t slot, std::size_t tid, Read&& read) {
+    if constexpr (requires { Edges::read_error_kind; }) {
+      try {
+        read();
+      } catch (const std::exception& e) {
+        throw RunError(Edges::read_error_kind, superstep_, tid,
+                       graph_.id_of(slot), e.what());
+      }
+    } else {
+      read();
+    }
   }
 
   void do_send(graph::vid_t dst, std::size_t tid, const Msg& msg) {
@@ -1680,7 +1754,7 @@ class Engine {
     }
   }
 
-  const graph::CsrGraph& graph_;
+  const Edges& graph_;
   Program program_;
   EngineOptions options_;
   runtime::ThreadPool* external_pool_ = nullptr;

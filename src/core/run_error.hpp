@@ -62,8 +62,9 @@ enum class RunErrorKind : std::uint8_t {
   /// The beyond-RAM paged store (src/store) could not serve an edge page:
   /// the page failed its CRC seal or read after the bounded retry budget,
   /// the store file's superblock was invalid, or the backing filesystem
-  /// lost power mid-read. The streaming runner unwinds the superstep and
-  /// surfaces the store::PageError detail. Retryable when the underlying
+  /// lost power mid-read. The engine unwinds the superstep and surfaces
+  /// the store::PageError detail (the edge source names this kind as the
+  /// one its failed reads map to). Retryable when the underlying
   /// page fault was transient (the retry-then-quarantine ladder already
   /// distinguishes that; what reaches this level recurs), so not
   /// retryable by default.

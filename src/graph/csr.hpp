@@ -97,6 +97,23 @@ class CsrGraph {
     return in_offsets_[slot + 1] - in_offsets_[slot];
   }
 
+  /// Calls `fn(vid_t)` for every out-neighbour of `slot`, in CSR order.
+  /// With for_each_in_neighbour, this is how the engine reads edges — the
+  /// interface the resident CSR shares with store::PagedGraph.
+  template <typename Fn>
+  void for_each_out_target(std::size_t slot, Fn&& fn) const {
+    for (const vid_t v : out_neighbours(slot)) {
+      fn(v);
+    }
+  }
+  /// Calls `fn(vid_t)` for every in-neighbour of `slot`, in CSR order.
+  template <typename Fn>
+  void for_each_in_neighbour(std::size_t slot, Fn&& fn) const {
+    for (const vid_t u : in_neighbours(slot)) {
+      fn(u);
+    }
+  }
+
   /// Average out-degree |E| / |V| — "graph density" in the paper's
   /// discussion of pull-combiner and message-propagation behaviour.
   [[nodiscard]] double average_degree() const noexcept {

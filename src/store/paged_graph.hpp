@@ -2,9 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
+#include "core/run_error.hpp"
 #include "graph/types.hpp"
 #include "runtime/memory_tracker.hpp"
 #include "store/page_cache.hpp"
@@ -12,8 +12,9 @@
 
 namespace ipregel::store {
 
-/// The engine-facing view of a paged store: vertex-sized state resident,
-/// edge-sized state streamed.
+/// A paged store as the engine's edge source (EdgeSource in
+/// core/engine.hpp): vertex-sized state resident, edge-sized state
+/// streamed.
 ///
 /// This is the split the beyond-RAM mode is built on. The offset arrays
 /// are O(V) — the same budget class as the engine's values, mailboxes,
@@ -44,6 +45,12 @@ class PagedGraph {
 
   PagedGraph(const PagedGraph&) = delete;
   PagedGraph& operator=(const PagedGraph&) = delete;
+
+  /// Edge reads can fail (a PageError once the cache's retry ladder is
+  /// spent, or io::PowerLoss from a dead disk). The engine reports such a
+  /// failure as this kind, also when the read ran inside compute() through
+  /// broadcast(), never as a compute() exception.
+  static constexpr RunErrorKind read_error_kind = RunErrorKind::kPageError;
 
   [[nodiscard]] const PagedStore& store() const noexcept { return store_; }
   [[nodiscard]] PageCache& cache() const noexcept { return cache_; }
@@ -100,22 +107,6 @@ class PagedGraph {
                      in_offsets_[slot + 1], fn);
   }
 
-  /// Calls `fn(vid_t target, weight_t w)` for every out-edge of `slot`.
-  /// Requires has_weights(); pins one target page and one weight page at
-  /// a time (the cache budget must admit two pinned pages per thread).
-  template <typename Fn>
-  void for_each_out_edge_weighted(std::size_t slot, Fn&& fn) const {
-    const std::uint64_t begin = out_offsets_[slot];
-    const std::uint64_t end = out_offsets_[slot + 1];
-    for (std::uint64_t e = begin; e < end; ++e) {
-      graph::vid_t target;
-      graph::weight_t weight;
-      read_element(Section::kOutTargets, e, target);
-      read_element(Section::kWeights, e, weight);
-      fn(target, weight);
-    }
-  }
-
  private:
   /// Streams elements [begin, end) of a u32 section page by page: one pin
   /// per touched page, elements delivered in array order. page_bytes is a
@@ -139,14 +130,6 @@ class PagedGraph {
         fn(elems[e - first_in_page]);
       }
     }
-  }
-
-  template <typename T>
-  void read_element(Section section, std::uint64_t index, T& out) const {
-    const SectionRef& ref = sb_.section(section);
-    const std::size_t per_page = store_.page_bytes() / sizeof(T);
-    const PageCache::Pin pin = cache_.pin(ref.first_page + index / per_page);
-    std::memcpy(&out, pin.data() + (index % per_page) * sizeof(T), sizeof(T));
   }
 
   const PagedStore& store_;

@@ -235,6 +235,16 @@ TEST(IoEintr, ThreadPoolRegionsCompleteUnderTheStorm) {
   runtime::ThreadPool pool(4);
   constexpr std::size_t kItems = 1u << 16;
   SigchldStorm storm;
+  // The 200 regions take a few milliseconds, which on a many-core host can
+  // pass before the storm thread is first scheduled. Establish the
+  // precondition — signals are arriving — before the timed regions, with a
+  // bound so a storm that never starts fails below instead of hanging.
+  const auto storm_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (SigchldStorm::delivered() == 0 &&
+         std::chrono::steady_clock::now() < storm_deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   for (int round = 0; round < 200; ++round) {
     std::atomic<std::uint64_t> sum{0};
     pool.run([&](std::size_t tid) {

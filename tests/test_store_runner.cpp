@@ -69,6 +69,8 @@ TEST(StreamingRunner, PullPageRankBitIdenticalToEngine) {
       const PagedRunResult out = runner.run(StreamMode::kPull);
       ASSERT_EQ(out.run.supersteps, ref.supersteps);
       ASSERT_EQ(out.run.total_messages, ref.total_messages);
+      ASSERT_EQ(out.run.total_executed_vertices,
+                ref.total_executed_vertices);
       for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
         ASSERT_EQ(runner.values()[s], engine.values()[s])
             << "slot " << s;  // EXACT double equality: bit-identity
@@ -99,6 +101,8 @@ TEST(StreamingRunner, PushHashminBitIdenticalToEngine) {
                                           {.threads = threads});
     const PagedRunResult out = runner.run(StreamMode::kPush);
     EXPECT_EQ(out.run.supersteps, ref.supersteps);
+    EXPECT_EQ(out.run.total_messages, ref.total_messages);
+    EXPECT_EQ(out.run.total_executed_vertices, ref.total_executed_vertices);
     for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
       ASSERT_EQ(runner.values()[s], engine.values()[s]) << "slot " << s;
     }
@@ -199,25 +203,36 @@ TEST(StreamingRunner, CancelTokenFailsTyped) {
 }
 
 TEST(StreamingRunner, UnservablePageFailsTypedNotHung) {
-  const CsrGraph g = make_graph(graph::cycle_graph(256));
-  FaultyVfs vfs;
-  write_store(g, kPath, &vfs, {.page_bytes = 64});
   // Tear the file so its last page can never be read whole: the run must
-  // end in a typed kPageError once the gather reaches it.
-  {
-    std::vector<std::uint8_t> bytes = vfs.read_all(kPath);
-    bytes.resize(bytes.size() - 8);
-    const auto f = vfs.open(kPath, io::Vfs::OpenMode::kTruncate);
-    f->write(bytes.data(), bytes.size());
-    f->close();
+  // end in a typed kPageError once it reaches that page. With in-edges the
+  // last page holds in-targets, which pull reaches in the gather, outside
+  // compute(); without them it holds out-targets, which push reaches
+  // inside compute(), where broadcast() streams them. Neither may surface
+  // as a compute() exception.
+  for (const StreamMode mode : {StreamMode::kPull, StreamMode::kPush}) {
+    SCOPED_TRACE(mode == StreamMode::kPull ? "pull" : "push");
+    const CsrGraph g = CsrGraph::build(
+        graph::cycle_graph(256),
+        {.addressing = graph::AddressingMode::kOffset,
+         .build_in_edges = mode == StreamMode::kPull});
+    FaultyVfs vfs;
+    write_store(g, kPath, &vfs, {.page_bytes = 64});
+    {
+      std::vector<std::uint8_t> bytes = vfs.read_all(kPath);
+      bytes.resize(bytes.size() - 8);
+      const auto f = vfs.open(kPath, io::Vfs::OpenMode::kTruncate);
+      f->write(bytes.data(), bytes.size());
+      f->close();
+    }
+    const PagedStore store(vfs, kPath);
+    PageCache cache(store, {.budget_bytes = 4 * 64, .max_retries = 1});
+    PagedGraph pg(store, cache);
+    StreamingRunner<apps::Hashmin> runner(pg, apps::Hashmin{},
+                                          {.threads = 2});
+    const RunOutcome out = runner.run_checked(mode);
+    ASSERT_TRUE(out.error.has_value());
+    EXPECT_EQ(out.error->kind(), RunErrorKind::kPageError);
   }
-  const PagedStore store(vfs, kPath);
-  PageCache cache(store, {.budget_bytes = 4 * 64, .max_retries = 1});
-  PagedGraph pg(store, cache);
-  StreamingRunner<apps::Hashmin> runner(pg, apps::Hashmin{}, {.threads = 2});
-  const RunOutcome out = runner.run_checked(StreamMode::kPull);
-  ASSERT_TRUE(out.error.has_value());
-  EXPECT_EQ(out.error->kind(), RunErrorKind::kPageError);
 }
 
 TEST(StreamingRunner, RunnerIsReentrant) {
