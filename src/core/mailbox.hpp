@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -84,8 +83,8 @@ class PushMailboxes {
 
   /// Empties both generations (between independent runs of an engine).
   void reset() noexcept {
-    std::memset(has_[0].data(), 0, has_[0].size());
-    std::memset(has_[1].data(), 0, has_[1].size());
+    std::fill(has_[0].begin(), has_[0].end(), std::uint8_t{0});
+    std::fill(has_[1].begin(), has_[1].end(), std::uint8_t{0});
   }
 
   /// Raw views of one generation, for checkpoint capture at the superstep
@@ -168,13 +167,15 @@ class PullOutboxes {
 
   /// Wipes the armed flags of generation `gen` for slots [begin, end).
   void clear_range(unsigned gen, std::size_t begin, std::size_t end) noexcept {
-    std::memset(has_[gen].data() + begin, 0, end - begin);
+    std::fill(has_[gen].begin() + static_cast<std::ptrdiff_t>(begin),
+              has_[gen].begin() + static_cast<std::ptrdiff_t>(end),
+              std::uint8_t{0});
   }
 
   /// Empties both generations (between independent runs of an engine).
   void reset() noexcept {
-    std::memset(has_[0].data(), 0, has_[0].size());
-    std::memset(has_[1].data(), 0, has_[1].size());
+    std::fill(has_[0].begin(), has_[0].end(), std::uint8_t{0});
+    std::fill(has_[1].begin(), has_[1].end(), std::uint8_t{0});
   }
 
   /// Raw views / restore of one generation — checkpoint capture and

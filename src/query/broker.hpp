@@ -114,8 +114,17 @@ class QueryBroker {
     /// Engine versions per family. BFS lanes always halt, so the
     /// selection bypass applies and keeps supersteps proportional to the
     /// united wavefronts; PPR runs every vertex every round (no bypass).
+    ///
+    /// PPR is served from the pull combiner: it gathers each vertex's
+    /// `double` sum in fixed in-neighbour order, so one query has one
+    /// bit-exact answer at any team size — what the result cache and the
+    /// solo-run promise assume. A push combiner folds in delivery order
+    /// and would answer the same query differently from run to run. Pull
+    /// needs in-edges: on an epoch built without them a PPR query
+    /// resolves kFailed with the engine's "build the graph with
+    /// build_in_edges = true" error; it never falls back to push.
     VersionId bfs_version{CombinerKind::kSpinlockPush, true};
-    VersionId ppr_version{CombinerKind::kSpinlockPush, false};
+    VersionId ppr_version{CombinerKind::kPull, false};
 
     /// Serve repeat queries from the result cache (lookup at submit,
     /// insert after a completed run while the epoch is still current).

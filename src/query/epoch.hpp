@@ -27,9 +27,12 @@ namespace ipregel::query {
 /// contract of JobManager::submit(const CsrGraph&).
 class GraphEpoch {
  public:
-  /// Takes ownership of a fully built CSR (build in-edges if the pull
-  /// combiner should apply). Computes stats and fingerprint eagerly —
-  /// O(E), once per reload, never on a query path.
+  /// Takes ownership of a fully built CSR. Build it with
+  /// `build_in_edges = true` to serve PPR: the broker runs PPR on the
+  /// pull combiner, so on an epoch without in-edges every PPR query
+  /// resolves kFailed (BFS-family queries are unaffected). Computes stats
+  /// and fingerprint eagerly — O(E), once per reload, never on a query
+  /// path.
   GraphEpoch(graph::CsrGraph g, std::uint64_t id);
 
   [[nodiscard]] const graph::CsrGraph& graph() const noexcept {

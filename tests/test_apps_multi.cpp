@@ -16,6 +16,7 @@
 #include "core/program_traits.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "query/broker.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -144,7 +145,9 @@ TEST(MultiPpr, EmptySeedLaneIsAllZero) {
 
 TEST(MultiPpr, DuplicateSeedsCollapse) {
   // set_seeds dedups, so {5, 5, 9} and {5, 9} are the same query — the
-  // cache keys on the normalised seed set for the same reason.
+  // cache keys on the normalised seed set for the same reason. Runs the
+  // version the query broker serves PPR from, whose answers the cache
+  // holds; that version must give one bit-exact answer per query.
   const graph::CsrGraph g =
       ipregel::testing::make_graph(graph::rmat(8, 6, {.seed = 13}));
   apps::MultiPpr<1> a;
@@ -155,10 +158,9 @@ TEST(MultiPpr, DuplicateSeedsCollapse) {
   b.set_seeds(0, {9, 5});
   std::vector<apps::MultiPpr<1>::value_type> va;
   std::vector<apps::MultiPpr<1>::value_type> vb;
-  run_version(g, a, {CombinerKind::kSpinlockPush, false}, EngineOptions{},
-              nullptr, &va);
-  run_version(g, b, {CombinerKind::kSpinlockPush, false}, EngineOptions{},
-              nullptr, &vb);
+  const VersionId served = query::QueryBroker::Config{}.ppr_version;
+  run_version(g, a, served, EngineOptions{}, nullptr, &va);
+  run_version(g, b, served, EngineOptions{}, nullptr, &vb);
   ASSERT_EQ(va.size(), vb.size());
   for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
     ASSERT_EQ(va[s][0], vb[s][0]) << "slot " << s;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/serial_reference.hpp"
@@ -111,6 +112,54 @@ TEST(QueryBroker, PprTopNMatchesSerialReference) {
     }
   }
   EXPECT_GE(r.top.back().rank + 1e-12, max_omitted);
+}
+
+TEST(QueryBroker, PprRepeatQueryIsBitIdenticalOnAMultiThreadTeam) {
+  // The cache keys on the normalised seed set, so {5, 5, 9} and {9, 5}
+  // must get one answer even when each runs the engine afresh on a
+  // multi-threaded team. Issued one after the other (query_sync), the two
+  // cannot share a lane; the cache is off, so both really run.
+  QueryService::Config cfg = small_config();
+  cfg.jobs.team_threads = 4;
+  QueryService svc(cfg);
+  svc.publish(make_graph(graph::rmat(10, 8, {.seed = 13})));
+  const std::size_t all = svc.current_epoch()->graph().num_vertices();
+
+  const QueryResult a = svc.query_sync(
+      PointQuery{.kind = QueryKind::kPpr, .seeds = {5, 5, 9}, .top_n = all});
+  const QueryResult b = svc.query_sync(
+      PointQuery{.kind = QueryKind::kPpr, .seeds = {9, 5}, .top_n = all});
+  ASSERT_EQ(a.status, QueryResult::Status::kOk) << a.error;
+  ASSERT_EQ(b.status, QueryResult::Status::kOk) << b.error;
+  ASSERT_FALSE(a.from_cache);
+  ASSERT_FALSE(b.from_cache);
+  ASSERT_EQ(svc.broker_stats().batches, 2u);
+  ASSERT_EQ(a.top.size(), b.top.size());
+  for (std::size_t i = 0; i < a.top.size(); ++i) {
+    ASSERT_EQ(a.top[i].id, b.top[i].id) << "rank position " << i;
+    ASSERT_EQ(a.top[i].rank, b.top[i].rank) << "rank position " << i;
+  }
+}
+
+TEST(QueryBroker, PprWithoutInEdgesFailsTypedNotPushed) {
+  // PPR is served from the pull combiner only; an epoch without in-edges
+  // cannot serve it and must say so rather than answer from push.
+  QueryService svc(small_config());
+  svc.publish(graph::CsrGraph::build(graph::rmat(7, 4, {.seed = 2}),
+                                     {.build_in_edges = false}));
+
+  const QueryResult ppr = svc.query_sync(
+      PointQuery{.kind = QueryKind::kPpr, .seeds = {1}, .top_n = 4});
+  ASSERT_EQ(ppr.status, QueryResult::Status::kFailed);
+  EXPECT_NE(ppr.error.find("build_in_edges = true"), std::string::npos)
+      << ppr.error;
+  EXPECT_TRUE(ppr.top.empty());
+
+  // BFS-family queries do not gather, so the same epoch still serves them.
+  const QueryResult dist = svc.query_sync(PointQuery{
+      .kind = QueryKind::kDistance, .source = 1, .targets = {1}});
+  ASSERT_EQ(dist.status, QueryResult::Status::kOk) << dist.error;
+  EXPECT_EQ(dist.distances, std::vector<std::uint32_t>{0});
 }
 
 TEST(QueryBroker, CompatibleQueriesShareOneEngineRun) {
