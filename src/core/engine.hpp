@@ -77,6 +77,11 @@ struct AggregatorState<Program, false> {
   void end_superstep() {}
 };
 
+/// The default Engine::step tick: nothing to do between vertices.
+struct NoTick {
+  void operator()() const noexcept {}
+};
+
 }  // namespace detail
 
 /// What the engine reads from the graph it runs on: the vertex id/slot
@@ -106,6 +111,41 @@ concept SpanEdgeSource = requires(const G& g, std::size_t slot) {
   { g.out_weights(slot) } -> std::same_as<std::span<const graph::weight_t>>;
 };
 
+/// What a snapshot is bound to: the SnapshotMeta fields that say whose
+/// state it is. A whole-graph engine binds its snapshots to its combiner,
+/// the graph's first slot, and the graph's and program's fingerprints.
+struct SnapshotIdentity {
+  std::uint8_t combiner = 0;
+  std::uint64_t first_slot = 0;
+  std::uint64_t graph_fingerprint = 0;
+  std::uint64_t program_fingerprint = 0;
+};
+
+/// Edge sources that are one slice of a larger run (the engine's slots
+/// are then the slice's local indices). They bind snapshots themselves, so
+/// a slice's state can never be restored as whole-graph state or as
+/// another slice's: the engine requires an exact `combiner` tag match on
+/// restore, in either checkpoint mode.
+template <typename G>
+concept SliceEdgeSource = requires(const G& g) {
+  { g.snapshot_identity() } -> std::same_as<SnapshotIdentity>;
+};
+
+/// The default message destination: push deliveries combine straight into
+/// the recipient's next-generation mailbox in this engine.
+struct LocalMailbox {};
+
+/// A destination outside the engine's own mailboxes. Every push delivery,
+/// including one to a vertex of this engine, goes to `deliver(id, msg)`;
+/// the caller carries the messages to their recipients' engines and hands
+/// them in through Engine::receive before the next step. `reset()` empties
+/// it (fresh run or restore). shard/slice.hpp's ShardOutboxes is one.
+template <typename D, typename Msg>
+concept RemoteDestination = requires(D& d, graph::vid_t dst, const Msg& m) {
+  d.deliver(dst, m);
+  d.reset();
+};
+
 /// The iPregel execution engine: one fully-typed instantiation per
 /// (program, combiner version, selection version) — the compile-time
 /// multi-version design of the paper's section 3.1, with C++ template
@@ -120,6 +160,10 @@ concept SpanEdgeSource = requires(const G& g, std::size_t slot) {
 ///  - `Edges`    — where edges are read from (see EdgeSource): the
 ///                 resident CSR by default, or a source that streams
 ///                 edges from storage for graphs that do not fit in memory
+///  - `Destination` — where push deliveries go: this engine's own
+///                 mailboxes (LocalMailbox, the default), or a
+///                 RemoteDestination that carries them to other engines
+///                 (a sharded run's per-shard outboxes)
 ///
 /// Addressing (section 5) needs no template parameter: the graph carries
 /// its id->slot mapping (direct = offset 0; desolate = offset 0 with padded
@@ -134,16 +178,30 @@ concept SpanEdgeSource = requires(const G& g, std::size_t slot) {
 /// The BSP superstep loop (Fig. 1): each superstep selects vertices, runs
 /// `Program::compute` on them in parallel, delivers messages into the next
 /// superstep's generation, and terminates once no vertex is active and no
-/// message is in flight.
+/// message is in flight. run() loops over step(), one superstep each; a
+/// caller that exchanges messages between engines drives step() itself.
 template <VertexProgram Program, CombinerKind Combiner, bool Bypass,
-          EdgeSource Edges = graph::CsrGraph>
+          EdgeSource Edges = graph::CsrGraph,
+          typename Destination = LocalMailbox>
 class Engine {
+  static constexpr bool kLocalDestination =
+      std::same_as<Destination, LocalMailbox>;
+
   static_assert(!Bypass || Program::always_halts,
                 "selection bypass requires a program whose vertices vote to "
                 "halt at the end of every superstep (paper section 4)");
   static_assert(Combiner != CombinerKind::kPull || Program::broadcast_only,
                 "the pull combiner requires broadcast-only communication "
                 "(paper section 6.2)");
+  static_assert(kLocalDestination ||
+                    RemoteDestination<Destination,
+                                      typename Program::message_type>,
+                "a message destination is LocalMailbox or a "
+                "RemoteDestination");
+  static_assert(kLocalDestination ||
+                    (Combiner != CombinerKind::kPull && !Bypass),
+                "a remote destination takes push deliveries, without the "
+                "selection bypass");
 
  public:
   using Value = typename Program::value_type;
@@ -258,11 +316,13 @@ class Engine {
   /// the MemoryTracker. Throws std::invalid_argument when the pull
   /// combiner is selected but the graph has no in-neighbour lists.
   Engine(const Edges& graph, Program program = {},
-         EngineOptions options = {}, runtime::ThreadPool* pool = nullptr)
+         EngineOptions options = {}, runtime::ThreadPool* pool = nullptr,
+         Destination destination = {})
       : graph_(graph),
         program_(std::move(program)),
         options_(options),
-        external_pool_(pool) {
+        external_pool_(pool),
+        dest_(std::move(destination)) {
     if constexpr (Combiner == CombinerKind::kPull) {
       if (!graph.has_in_edges()) {
         throw std::invalid_argument(
@@ -307,7 +367,7 @@ class Engine {
   /// run() fully reinitialises and run_from() restores a snapshot — the
   /// strong guarantee at superstep granularity.
   RunResult run() {
-    reset_state();
+    initialize();
     return superstep_loop();
   }
 
@@ -339,6 +399,167 @@ class Engine {
     return kResendCapable;
   }
 
+  /// Fresh superstep-0 state: initial values, nothing halted, empty
+  /// mailboxes (and destination), identity aggregate. run() starts here.
+  void initialize() {
+    superstep_ = 0;
+    const std::size_t first = graph_.first_slot();
+    pool().parallel_for(
+        graph_.num_slots() - first, [&](std::size_t, runtime::Range r) {
+          for (std::size_t s = first + r.begin; s < first + r.end; ++s) {
+            values_[s] = program_.initial_value(graph_.id_of(s));
+            halted_[s] = 0;
+          }
+        });
+    mail_->reset();
+    if constexpr (Bypass) {
+      frontier_->reset();
+    }
+    if constexpr (!kLocalDestination) {
+      dest_.reset();
+    }
+    aggregator_.init(pool().size());
+    reset_checkpoint_pacing();
+    integrity_reset();
+  }
+
+  /// The superstep the next step() runs.
+  [[nodiscard]] std::size_t superstep() const noexcept { return superstep_; }
+
+  /// Runs superstep superstep() and advances to the next: selection,
+  /// compute and delivery, then the barrier epilogue (aggregator fold,
+  /// integrity tiers). Returns the superstep's counts; the computation has
+  /// terminated once a step sends nothing and leaves nobody active.
+  ///
+  /// run() and run_from() loop over step() and add what a whole run owns:
+  /// the watchdog deadlines (armed only there), the superstep cap, and
+  /// checkpoints. A caller that drives step() itself starts from
+  /// initialize() or restore_state() and owns those concerns.
+  ///
+  /// `tick()` runs on each team thread at its vertex-boundary ticks (every
+  /// 64 vertices, with the watchdog poll), so a caller can keep a
+  /// heartbeat or serve I/O during a long compute phase.
+  template <typename Tick = detail::NoTick>
+  SuperstepStats step(Tick&& tick = {}) {
+    runtime::ThreadPool& workers = pool();
+    runtime::Timer step_timer;
+    // The barrier is the quiescent point: budget and deadlines are
+    // enforced here (the first step of a run doubles as the run-start
+    // check), then re-checked cooperatively inside the phases.
+    enforce_memory_budget();
+    if (step_deadline_armed_) {
+      step_deadline_ = GuardClock::now() +
+                       guard_duration(options_.guards.superstep_seconds);
+    }
+    const unsigned cur = static_cast<unsigned>(superstep_ & 1);
+    const unsigned nxt = cur ^ 1u;
+    cur_gen_ = cur;
+    nxt_gen_ = nxt;
+    // Integrity hooks at the top of the superstep, in dependency order:
+    // an at-rest flip lands first (simulating corruption during the
+    // barrier gap), the checksum verification runs against it (the
+    // detector must see what a real flip would leave behind), and the
+    // shadow tier then records the pristine-or-detected inputs this
+    // superstep is about to consume.
+    apply_flip(integrity::FlipPhase::kAtRest);
+    verify_checksums();
+    shadow_capture();
+    for (auto& c : counters_) {
+      c = ThreadCounters{};
+    }
+    aggregator_.begin_superstep();
+    fault_active_ = options_.fault.armed() &&
+                    superstep_ == options_.fault.superstep;
+    if (fault_active_) {
+      fault_calls_.store(0, std::memory_order_relaxed);
+      fault_tripped_.store(false, std::memory_order_relaxed);
+    }
+
+    // --- selection + local computation + communication -------------------
+    const bool use_frontier = Bypass && superstep_ > 0;
+    if (use_frontier) {
+      if constexpr (Bypass) {
+        // The frontier *is* the selection: every entry received a
+        // message, so threads run every vertex of their equal share.
+        const auto& work = frontier_->current();
+        for_indices(
+            workers, work.size(),
+            [&](std::size_t tid, std::size_t i) {
+              process_vertex(work[i], tid, cur, nxt);
+            },
+            tick);
+      }
+    } else {
+      const std::size_t first = graph_.first_slot();
+      for_indices(
+          workers, graph_.num_slots() - first,
+          [&](std::size_t tid, std::size_t i) {
+            process_vertex(first + i, tid, cur, nxt);
+          },
+          tick);
+    }
+
+    // --- superstep epilogue ----------------------------------------------
+    if (fault_active_ && fault_tripped_.load(std::memory_order_relaxed)) {
+      // The superstep was abandoned mid-flight: values partially updated,
+      // messages half-delivered. This engine's state is torn, exactly as a
+      // real crash would leave it — recovery means a fresh engine
+      // restoring the last snapshot, never resuming this one.
+      throw ft::InjectedFault(superstep_, options_.fault.after_compute_calls);
+    }
+    // Thread 0's barrier-side watchdog check: catches deadlines (and a
+    // raised cancel token) that the per-vertex ticks missed (e.g. a
+    // near-empty frontier), then surfaces any trip as a typed error. The
+    // tripped superstep was abandoned mid-flight — same torn state as a
+    // crash.
+    check_deadlines(workers);
+    check_cancel_token(workers);
+    throw_if_guard_tripped();
+    // Post-compute integrity hooks: the flip lands on freshly produced
+    // state, then the shadow tier replays its sampled vertices against the
+    // recorded inputs. Both run before the aggregator folds (the replay
+    // must observe the same previous-superstep aggregate the live run did)
+    // and — crucially — before any checkpoint, so corrupted state is
+    // detected before it can be persisted.
+    apply_flip(integrity::FlipPhase::kPostCompute);
+    shadow_verify();
+    SuperstepStats stats;
+    for (const auto& c : counters_) {
+      stats.messages_sent += c.sent;
+      stats.remaining_active += c.active;
+      stats.executed_vertices += c.executed;
+    }
+    aggregator_.end_superstep();
+    if constexpr (Combiner == CombinerKind::kPull) {
+      // Wipe the consumed generation's armed flags so halted vertices
+      // cannot leak a stale broadcast two supersteps later.
+      const std::size_t first = graph_.first_slot();
+      workers.parallel_for(graph_.num_slots() - first,
+                           [&](std::size_t, runtime::Range r) {
+                             mail_->clear_range(cur, first + r.begin,
+                                                first + r.end);
+                           });
+    }
+    if constexpr (Bypass) {
+      if (stats.remaining_active != 0) {
+        throw std::logic_error(
+            "selection bypass engaged but " +
+            std::to_string(stats.remaining_active) +
+            " vertices did not vote to halt in superstep " +
+            std::to_string(superstep_) +
+            "; this program is not bypass-compatible");
+      }
+      frontier_->flip();
+    }
+    // Application-invariant audit (integrity tier 1): a parallel reduction
+    // over the final barrier values, checked against the program's
+    // declared conservation/monotonicity laws.
+    audit_invariants();
+    stats.seconds = step_timer.seconds();
+    ++superstep_;
+    return stats;
+  }
+
  private:
   RunResult superstep_loop() {
     RunResult result;
@@ -355,7 +576,6 @@ class Engine {
           "shadow recompute needs to compare replayed values: the value "
           "type must be equality-comparable or trivially copyable");
     }
-    runtime::ThreadPool& workers = pool();
     runtime::Timer total;
     guard_trip_.store(0, std::memory_order_relaxed);
     run_deadline_armed_ = options_.guards.run_seconds > 0.0;
@@ -365,126 +585,14 @@ class Engine {
     }
     for (;;) {
       runtime::Timer step_timer;
-      // The barrier is the quiescent point: budget and deadlines are
-      // enforced here (the first iteration doubles as the run-start
-      // check), then re-checked cooperatively inside the phases.
-      enforce_memory_budget();
-      if (step_deadline_armed_) {
-        step_deadline_ = GuardClock::now() +
-                         guard_duration(options_.guards.superstep_seconds);
-      }
-      const unsigned cur = static_cast<unsigned>(superstep_ & 1);
-      const unsigned nxt = cur ^ 1u;
-      cur_gen_ = cur;
-      nxt_gen_ = nxt;
-      // Integrity hooks at the top of the superstep, in dependency order:
-      // an at-rest flip lands first (simulating corruption during the
-      // barrier gap), the checksum verification runs against it (the
-      // detector must see what a real flip would leave behind), and the
-      // shadow tier then records the pristine-or-detected inputs this
-      // superstep is about to consume.
-      apply_flip(integrity::FlipPhase::kAtRest);
-      verify_checksums();
-      shadow_capture();
-      for (auto& c : counters_) {
-        c = ThreadCounters{};
-      }
-      aggregator_.begin_superstep();
-      fault_active_ = options_.fault.armed() &&
-                      superstep_ == options_.fault.superstep;
-      if (fault_active_) {
-        fault_calls_.store(0, std::memory_order_relaxed);
-        fault_tripped_.store(false, std::memory_order_relaxed);
-      }
-
-      // --- selection + local computation + communication -----------------
-      const bool use_frontier = Bypass && superstep_ > 0;
-      if (use_frontier) {
-        if constexpr (Bypass) {
-          // The frontier *is* the selection: every entry received a
-          // message, so threads run every vertex of their equal share.
-          const auto& work = frontier_->current();
-          for_indices(workers, work.size(),
-                      [&](std::size_t tid, std::size_t i) {
-                        process_vertex(work[i], tid, cur, nxt);
-                      });
-        }
-      } else {
-        const std::size_t first = graph_.first_slot();
-        for_indices(workers, graph_.num_slots() - first,
-                    [&](std::size_t tid, std::size_t i) {
-                      process_vertex(first + i, tid, cur, nxt);
-                    });
-      }
-
-      // --- superstep epilogue --------------------------------------------
-      if (fault_active_ && fault_tripped_.load(std::memory_order_relaxed)) {
-        // The superstep was abandoned mid-flight: values partially
-        // updated, messages half-delivered. This engine's state is torn,
-        // exactly as a real crash would leave it — recovery means a fresh
-        // engine restoring the last snapshot, never resuming this one.
-        throw ft::InjectedFault(superstep_,
-                                options_.fault.after_compute_calls);
-      }
-      // Thread 0's barrier-side watchdog check: catches deadlines (and a
-      // raised cancel token) that the per-vertex ticks missed (e.g. a
-      // near-empty frontier), then surfaces any trip as a typed error. The
-      // tripped superstep was abandoned mid-flight — same torn state as a
-      // crash.
-      check_deadlines(workers);
-      check_cancel_token(workers);
-      throw_if_guard_tripped();
-      // Post-compute integrity hooks: the flip lands on freshly produced
-      // state, then the shadow tier replays its sampled vertices against
-      // the recorded inputs. Both run before the aggregator folds (the
-      // replay must observe the same previous-superstep aggregate the live
-      // run did) and — crucially — before maybe_checkpoint, so corrupted
-      // state is detected before it can be persisted.
-      apply_flip(integrity::FlipPhase::kPostCompute);
-      shadow_verify();
-      std::size_t sent = 0;
-      std::size_t active = 0;
-      std::size_t executed = 0;
-      for (const auto& c : counters_) {
-        sent += c.sent;
-        active += c.active;
-        executed += c.executed;
-      }
-      aggregator_.end_superstep();
-      if constexpr (Combiner == CombinerKind::kPull) {
-        // Wipe the consumed generation's armed flags so halted vertices
-        // cannot leak a stale broadcast two supersteps later.
-        const std::size_t first = graph_.first_slot();
-        workers.parallel_for(graph_.num_slots() - first,
-                             [&](std::size_t, runtime::Range r) {
-                               mail_->clear_range(cur, first + r.begin,
-                                                  first + r.end);
-                             });
-      }
-      if constexpr (Bypass) {
-        if (active != 0) {
-          throw std::logic_error(
-              "selection bypass engaged but " + std::to_string(active) +
-              " vertices did not vote to halt in superstep " +
-              std::to_string(superstep_) +
-              "; this program is not bypass-compatible");
-        }
-        frontier_->flip();
-      }
-      // Application-invariant audit (integrity tier 1): a parallel
-      // reduction over the final barrier values, checked against the
-      // program's declared conservation/monotonicity laws.
-      audit_invariants();
-
-      result.total_messages += sent;
-      result.total_executed_vertices += executed;
+      const SuperstepStats stats = step();
+      result.total_messages += stats.messages_sent;
+      result.total_executed_vertices += stats.executed_vertices;
       if (options_.collect_superstep_stats) {
-        result.per_superstep.push_back(SuperstepStats{
-            executed, active, sent, step_timer.seconds()});
+        result.per_superstep.push_back(stats);
       }
-      ++superstep_;
       result.supersteps = superstep_;
-      if (sent == 0 && active == 0) {
+      if (stats.messages_sent == 0 && stats.remaining_active == 0) {
         break;  // BSP termination: everyone halted, nothing in flight
       }
       if (superstep_ >= options_.max_supersteps) {
@@ -522,6 +630,41 @@ class Engine {
   [[nodiscard]] const Edges& graph() const noexcept { return graph_; }
   [[nodiscard]] const Program& program() const noexcept { return program_; }
 
+  /// The aggregate ctx.aggregated() reads during the next step. After a
+  /// step() it is the fold of that step's contributions to this engine: a
+  /// slice engine ships it as its partial and installs the cross-slice fold
+  /// with set_aggregated() before stepping on.
+  template <typename P = Program>
+    requires HasAggregator<P>
+  [[nodiscard]] const typename P::aggregate_type& aggregated()
+      const noexcept {
+    return aggregator_.previous;
+  }
+  template <typename P = Program>
+    requires HasAggregator<P>
+  void set_aggregated(const typename P::aggregate_type& value) noexcept {
+    aggregator_.previous = value;
+  }
+
+  /// The remote destination this engine's push deliveries go to.
+  [[nodiscard]] Destination& destination() noexcept
+    requires(!kLocalDestination)
+  {
+    return dest_;
+  }
+
+  /// Combines `msg` into `slot`'s mailbox for the next step(): how a
+  /// message that a remote destination carried off reaches its
+  /// recipient's engine. Only between steps, so no lock is taken.
+  void receive(std::size_t slot, const Msg& msg)
+    requires(Combiner != CombinerKind::kPull && !Bypass)
+  {
+    mail_->deliver_exclusive(static_cast<unsigned>(superstep_ & 1), slot,
+                             msg, [](Msg& old, const Msg& incoming) {
+                               Program::combine(old, incoming);
+                             });
+  }
+
   /// Captures a snapshot of the engine's state. Only meaningful at a
   /// superstep barrier (which is where run() calls it; external callers
   /// must not invoke it while a superstep is in flight). The snapshot's
@@ -553,19 +696,20 @@ class Engine {
       }
     }
     const std::size_t slots = graph_.num_slots();
+    const SnapshotIdentity id = snapshot_identity();
     ft::EngineSnapshot snap;
     ft::SnapshotMeta& m = snap.meta;
     m.mode = mode;
-    m.combiner = static_cast<std::uint8_t>(Combiner);
+    m.combiner = id.combiner;
     m.selection_bypass = Bypass;
     m.has_aggregator = HasAggregator<Program>;
     m.superstep = superstep_;
     m.num_slots = slots;
-    m.first_slot = graph_.first_slot();
+    m.first_slot = id.first_slot;
     m.num_vertices = graph_.num_vertices();
     m.num_edges = graph_.num_edges();
-    m.graph_fingerprint = fingerprint();
-    m.program_fingerprint = program_fingerprint<Program>();
+    m.graph_fingerprint = id.graph_fingerprint;
+    m.program_fingerprint = id.program_fingerprint;
     m.value_size = sizeof(Value);
     m.message_size = sizeof(Msg);
     snap.values.resize(slots * sizeof(Value));
@@ -600,37 +744,26 @@ class Engine {
     }
   }
 
-  /// Restores engine state from a snapshot, validating it first: graph
-  /// fingerprint and shape, value/message sizes, and — for heavyweight
-  /// snapshots — that this engine's version can consume the captured
-  /// mailbox layout (same combiner family, same bypass setting). Rejects
-  /// with ft::SnapshotMismatch before touching any engine state, so a bad
-  /// snapshot never leaves the engine half-restored.
-  ///
-  /// Lightweight snapshots carry no mailbox state and therefore restore
-  /// under ANY version of the program — a crashed spinlock-push run can
-  /// resume under pull — at the cost of one message-regeneration pass via
-  /// Program::resend.
-  void restore_state(const ft::EngineSnapshot& snap) {
-    if constexpr (!kTriviallyCheckpointable) {
-      (void)snap;
-      throw std::logic_error(
-          "checkpoint recovery deserialises raw bytes; this program's "
-          "types are not trivially copyable");
-    } else {
+  /// Why `snap` cannot be restored into this engine, or nullptr when it
+  /// can. Checks the graph's shape and fingerprint, the program
+  /// fingerprint, and the value/message sizes. A heavyweight snapshot must
+  /// also match this engine's mailbox layout (same combiner family, same
+  /// bypass setting). A lightweight one needs a resend-capable,
+  /// aggregator-free program. Returns a static string, so it can serve as
+  /// an ft::SnapshotDirectory::Validator: an unusable candidate is then
+  /// quarantined during a newest-first walk instead of aborting it.
+  [[nodiscard]] const char* snapshot_mismatch(
+      const ft::EngineSnapshot& snap) const {
     const ft::SnapshotMeta& m = snap.meta;
-    const auto reject = [](const std::string& what) {
-      throw ft::SnapshotMismatch("snapshot rejected: " + what);
-    };
-    if (m.num_slots != graph_.num_slots() ||
-        m.first_slot != graph_.first_slot() ||
+    const SnapshotIdentity id = snapshot_identity();
+    if (m.num_slots != graph_.num_slots() || m.first_slot != id.first_slot ||
         m.num_vertices != graph_.num_vertices() ||
         m.num_edges != graph_.num_edges()) {
-      reject("graph shape differs (|V|, |E|, or slot layout)");
+      return "graph shape differs (|V|, |E|, or slot layout)";
     }
-    if (m.graph_fingerprint != fingerprint()) {
-      reject("graph fingerprint differs — this snapshot was taken on a "
-             "different graph");
+    if (m.graph_fingerprint != id.graph_fingerprint) {
+      return "graph fingerprint differs — this snapshot was taken on a "
+             "different graph";
     }
     // Program-identity binding: a snapshot of application A must never be
     // reinterpreted as application B's state, even when the raw value
@@ -638,52 +771,79 @@ class Engine {
     // distances are both 4 bytes — and mean entirely different things).
     // Format-v1 snapshots carry no fingerprint (0) and skip this check.
     if (m.program_fingerprint != 0 &&
-        m.program_fingerprint != program_fingerprint<Program>()) {
-      reject("program fingerprint differs — this snapshot belongs to a "
+        m.program_fingerprint != id.program_fingerprint) {
+      return "program fingerprint differs — this snapshot belongs to a "
              "different application (or an incompatible value/message "
-             "layout of the same one)");
+             "layout of the same one)";
+    }
+    if constexpr (SliceEdgeSource<Edges>) {
+      if (m.combiner != id.combiner) {
+        return "not a snapshot of this kind of slice";
+      }
     }
     if (m.value_size != sizeof(Value)) {
-      reject("vertex value size differs (snapshot " +
-             std::to_string(m.value_size) + " bytes, program " +
-             std::to_string(sizeof(Value)) + ")");
+      return "vertex value size differs";
     }
     if (m.mode == ft::CheckpointMode::kHeavyweight) {
       if (m.message_size != sizeof(Msg)) {
-        reject("message size differs (snapshot " +
-               std::to_string(m.message_size) + " bytes, program " +
-               std::to_string(sizeof(Msg)) + ")");
+        return "message size differs";
       }
       const bool snap_pull =
           static_cast<CombinerKind>(m.combiner) == CombinerKind::kPull;
       if (snap_pull != (Combiner == CombinerKind::kPull)) {
-        reject("combiner family differs (push mailboxes and pull outboxes "
+        return "combiner family differs (push mailboxes and pull outboxes "
                "are not interchangeable); use a lightweight snapshot to "
-               "resume across versions");
+               "resume across versions";
       }
       if (m.selection_bypass != Bypass) {
-        reject("selection-bypass setting differs; use a lightweight "
-               "snapshot to resume across versions");
+        return "selection-bypass setting differs; use a lightweight "
+               "snapshot to resume across versions";
       }
       if (m.has_aggregator != HasAggregator<Program>) {
-        reject("aggregator support differs between snapshot and program");
+        return "aggregator support differs between snapshot and program";
       }
     } else {
       if constexpr (!kResendCapable) {
-        reject("lightweight recovery requires the program to provide "
-               "resend(ctx)");
+        return "lightweight recovery requires the program to provide "
+               "resend(ctx)";
       }
       if constexpr (HasAggregator<Program>) {
-        reject("lightweight snapshots cannot restore aggregator state");
+        return "lightweight snapshots cannot restore aggregator state";
       }
     }
+    return nullptr;
+  }
 
+  /// Restores engine state from a snapshot, validating it first (see
+  /// snapshot_mismatch). Rejects with ft::SnapshotMismatch before touching
+  /// any engine state, so a bad snapshot never leaves the engine
+  /// half-restored.
+  ///
+  /// Lightweight snapshots carry no mailbox state and therefore restore
+  /// under ANY version of the program — a crashed spinlock-push run can
+  /// resume under pull — at the cost of one message-regeneration pass via
+  /// Program::resend. Under a remote destination the regenerated messages
+  /// land in the destination, for the caller to carry across.
+  void restore_state(const ft::EngineSnapshot& snap) {
+    if constexpr (!kTriviallyCheckpointable) {
+      (void)snap;
+      throw std::logic_error(
+          "checkpoint recovery deserialises raw bytes; this program's "
+          "types are not trivially copyable");
+    } else {
+    if (const char* why = snapshot_mismatch(snap)) {
+      throw ft::SnapshotMismatch(std::string("snapshot rejected: ") + why);
+    }
+    const ft::SnapshotMeta& m = snap.meta;
     superstep_ = m.superstep;
     std::memcpy(values_.data(), snap.values.data(), snap.values.size());
     halted_.assign(snap.halted.begin(), snap.halted.end());
     mail_->reset();
     if constexpr (Bypass) {
       frontier_->reset();
+    }
+    if constexpr (!kLocalDestination) {
+      dest_.reset();
     }
     aggregator_.init(pool().size());
     reset_checkpoint_pacing();
@@ -766,6 +926,16 @@ class Engine {
       throw std::invalid_argument(
           "snapshots are bound to the graph's content fingerprint, which "
           "this edge source does not provide");
+    }
+  }
+
+  /// What this engine's snapshots bind to (see SnapshotIdentity).
+  [[nodiscard]] SnapshotIdentity snapshot_identity() const {
+    if constexpr (SliceEdgeSource<Edges>) {
+      return graph_.snapshot_identity();
+    } else {
+      return {static_cast<std::uint8_t>(Combiner), graph_.first_slot(),
+              fingerprint(), program_fingerprint<Program>()};
     }
   }
 
@@ -1574,17 +1744,22 @@ class Engine {
   }
 
   /// Distributes [0, n) under the configured scheduling policy and calls
-  /// `fn(tid, i)` for every index. Every 64 indices each thread polls the
-  /// cancellation flag and the watchdog deadlines, so a failing teammate
-  /// or an expired deadline unwinds the whole team at vertex granularity.
-  template <typename Fn>
-  void for_indices(runtime::ThreadPool& workers, std::size_t n, Fn&& fn) {
-    const auto body = [this, &fn, &workers](std::size_t tid,
-                                            runtime::Range r) {
-      std::size_t tick = 0;
+  /// `fn(tid, i)` for every index. Every 64 indices each thread calls
+  /// `tick()` and polls the cancellation flag and the watchdog deadlines,
+  /// so a failing teammate or an expired deadline unwinds the whole team
+  /// at vertex granularity.
+  template <typename Fn, typename Tick = detail::NoTick>
+  void for_indices(runtime::ThreadPool& workers, std::size_t n, Fn&& fn,
+                   Tick&& tick = {}) {
+    const auto body = [this, &fn, &workers, &tick](std::size_t tid,
+                                                   runtime::Range r) {
+      std::size_t ticks = 0;
       for (std::size_t i = r.begin; i < r.end; ++i) {
-        if ((tick++ & 63u) == 0u && guard_tick(workers)) {
-          return;
+        if ((ticks++ & 63u) == 0u) {
+          tick();
+          if (guard_tick(workers)) {
+            return;
+          }
         }
         fn(tid, i);
       }
@@ -1594,25 +1769,6 @@ class Engine {
     } else {
       workers.parallel_for(n, body);
     }
-  }
-
-  void reset_state() {
-    superstep_ = 0;
-    const std::size_t first = graph_.first_slot();
-    pool().parallel_for(
-        graph_.num_slots() - first, [&](std::size_t, runtime::Range r) {
-          for (std::size_t s = first + r.begin; s < first + r.end; ++s) {
-            values_[s] = program_.initial_value(graph_.id_of(s));
-            halted_[s] = 0;
-          }
-        });
-    mail_->reset();
-    if constexpr (Bypass) {
-      frontier_->reset();
-    }
-    aggregator_.init(pool().size());
-    reset_checkpoint_pacing();
-    integrity_reset();
   }
 
   /// Selection check + message consumption + compute for one vertex.
@@ -1703,7 +1859,7 @@ class Engine {
     } else {
       read_edges(slot, tid, [&] {
         graph_.for_each_out_target(slot, [&](graph::vid_t dst) {
-          deliver_push(graph_.slot_of(dst), tid, msg);
+          deliver(dst, tid, msg);
         });
       });
     }
@@ -1730,8 +1886,18 @@ class Engine {
 
   void do_send(graph::vid_t dst, std::size_t tid, const Msg& msg) {
     if constexpr (Combiner != CombinerKind::kPull) {
-      deliver_push(graph_.slot_of(dst), tid, msg);
+      deliver(dst, tid, msg);
       ++counters_[tid].sent;
+    }
+  }
+
+  /// A push delivery to vertex `dst`: into the local mailbox, or handed to
+  /// the remote destination (which routes it, this engine included).
+  void deliver(graph::vid_t dst, std::size_t tid, const Msg& msg) {
+    if constexpr (kLocalDestination) {
+      deliver_push(graph_.slot_of(dst), tid, msg);
+    } else {
+      dest_.deliver(dst, msg);
     }
   }
 
@@ -1759,6 +1925,7 @@ class Engine {
   EngineOptions options_;
   runtime::ThreadPool* external_pool_ = nullptr;
   std::unique_ptr<runtime::ThreadPool> owned_pool_;
+  [[no_unique_address]] Destination dest_;
 
   std::vector<Value> values_;
   std::vector<std::uint8_t> halted_;

@@ -50,6 +50,14 @@ class PushMailboxes {
   bool deliver(unsigned gen, std::size_t slot, const Msg& msg,
                Combine&& combine) {
     std::lock_guard<Lock> guard(locks_[slot]);
+    return deliver_exclusive(gen, slot, msg, combine);
+  }
+
+  /// deliver() for a caller that no other delivery can race (between
+  /// supersteps): the same combine, without the lock.
+  template <typename Combine>
+  bool deliver_exclusive(unsigned gen, std::size_t slot, const Msg& msg,
+                         Combine&& combine) {
     if (has_[gen][slot] != 0) {
       combine(inbox_[gen][slot], msg);
       return false;

@@ -31,6 +31,7 @@
 #include "shard/manifest.hpp"
 #include "shard/options.hpp"
 #include "shard/partition.hpp"
+#include "shard/slice.hpp"
 #include "shard/supervisor.hpp"
 #include "shard/tcp_transport.hpp"
 #include "shard/transport.hpp"
@@ -193,7 +194,7 @@ class Coordinator {
     const std::size_t n = part.shards();
     spec.shards = n;
     spec.ring_capacity.assign(n * n, 0);
-    constexpr std::size_t kEntryBytes = sizeof(std::uint32_t) + sizeof(Msg);
+    constexpr std::size_t kEntryBytes = kFrameEntryBytes<Msg>;
     for (std::size_t src = 0; src < n; ++src) {
       for (std::size_t dst = 0; dst < n; ++dst) {
         if (src == dst) {
@@ -348,7 +349,7 @@ class Coordinator {
     }
     if (options_.checkpoint.enabled() &&
         options_.checkpoint.mode == ft::CheckpointMode::kLightweight &&
-        !ShardEngine<Program>::resend_capable()) {
+        !SliceEngine<Program>::resend_capable()) {
       throw std::invalid_argument(
           "run_sharded: lightweight checkpoints need Program::resend(ctx)");
     }

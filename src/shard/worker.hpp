@@ -26,7 +26,7 @@
 #include "shard/layout.hpp"
 #include "shard/options.hpp"
 #include "shard/partition.hpp"
-#include "shard/shard_engine.hpp"
+#include "shard/slice.hpp"
 #include "shard/tcp_transport.hpp"
 #include "shard/transport.hpp"
 
@@ -71,9 +71,10 @@ struct WorkerConfig {
 };
 
 /// The worker process body: restore-or-initialise, then the BSP loop —
-/// compute, post combined frames, drain peers in source order, publish
-/// values, enter the barrier, wait for the release. Runs single-threaded;
-/// heartbeats are sent from inside these loops, so liveness certifies
+/// one engine step over this shard's slice, post combined frames, apply
+/// peers' frames in source order, publish values, enter the barrier, wait
+/// for the release. Runs single-threaded; heartbeats are sent from inside
+/// these loops and from the step's vertex ticks, so liveness certifies
 /// progress. All I/O goes through the Transport seam, so the SAME loop
 /// runs over shared-memory rings and TCP streams. Never returns normally
 /// — the caller `_exit`s with the returned code. Must not touch the
@@ -89,11 +90,12 @@ class Worker {
       : cfg_(cfg),
         transport_(std::move(transport)),
         part_(*cfg.graph, cfg.options->num_shards, cfg.options->partition),
-        engine_(*cfg.graph, *cfg.program, part_, cfg.me),
-        bound_fp_(shard_fingerprint(program_fingerprint<Program>(),
-                                    cfg.options->num_shards, cfg.me,
-                                    cfg.options->partition)),
-        owned_slots_(part_.owned_slots(cfg.me)) {
+        slice_(*cfg.graph, part_, cfg.me, cfg.graph_fp,
+               shard_fingerprint(program_fingerprint<Program>(),
+                                 cfg.options->num_shards, cfg.me,
+                                 cfg.options->partition)),
+        engine_(slice_, *cfg.program, EngineOptions{.threads = 1}, nullptr,
+                ShardOutboxes<Program>(slice_)) {
     const std::size_t n = cfg_.options->num_shards;
     coord_epoch_ = cfg.coord_epoch;
     pending_.resize(n);
@@ -159,12 +161,16 @@ class Worker {
       } else {
         // Rebuild inbox_resume from the survivors' republished frames
         // with our own resend slice interleaved at source position `me` —
-        // the original source-order fold, bit for bit.
+        // the original source-order fold, bit for bit. The restore left
+        // the resend replay in the outboxes; the remote slices are
+        // dropped, as the survivors' own state already reflects them.
         for (std::size_t src = 0; src < part_.shards(); ++src) {
           floor_[src] = resume - 1;
         }
-        exchange(resume - 1, /*into_current=*/true, /*self_resend=*/true,
-                 nullptr);
+        const std::vector<std::uint8_t> self_frame =
+            engine_.destination().take_outbox(cfg_.me);
+        engine_.destination().reset();
+        exchange(resume - 1, self_frame);
       }
     } else {
       for (std::size_t src = 0; src < part_.shards(); ++src) {
@@ -175,54 +181,46 @@ class Worker {
     std::uint64_t s = resume;
     for (;;) {
       superstep_now_ = s;
-      auto tick = [&](std::uint64_t /*executed*/) {
+      const auto tick = [&] {
         maybe_fault(ShardFault::Phase::kCompute, s);
         heartbeat();
         pump(0);
         drain_frames();
       };
-      const auto counts = engine_.compute_superstep(s, tick);
+      const SuperstepStats counts = engine_.step(tick);
+      tick();
 
       // Post this superstep's combined frames and retain them for
       // recovering peers.
-      RetainedGen gen;
-      gen.superstep = s;
-      gen.frames.resize(part_.shards());
-      for (std::size_t dst = 0; dst < part_.shards(); ++dst) {
-        gen.frames[dst] = engine_.take_outbox(dst);
-        if (dst != cfg_.me) {
-          push_frame(dst, s, gen.frames[dst]);
-        }
-      }
-      std::vector<std::uint8_t> self_frame = std::move(gen.frames[cfg_.me]);
-      gen.frames[cfg_.me].clear();
-      retained_.push_back(std::move(gen));
+      const std::vector<std::uint8_t> self_frame = post_frames(s);
       while (retained_.size() > cfg_.options->retain_supersteps) {
         retained_.pop_front();
       }
       maybe_fault(ShardFault::Phase::kAfterPost, s);
 
-      // Collect every peer's frame for this superstep into the NEXT
-      // inbox, self at its source position.
-      exchange(s, /*into_current=*/false, /*self_resend=*/false,
-               &self_frame);
+      // Collect every peer's frame for this superstep into the engine's
+      // next inbox, self at its source position.
+      exchange(s, self_frame);
 
       // Publish values BEFORE the barrier: if the run halts at this
       // superstep the board is already complete, and a death after this
       // point loses nothing a redo will not rewrite.
-      transport_->publish_values(engine_.value_bytes(), sizeof(Value),
-                                 owned_slots_);
+      const std::span<const Value> values = engine_.values();
+      transport_->publish_values(
+          {reinterpret_cast<const std::uint8_t*>(values.data()),
+           values.size_bytes()},
+          sizeof(Value), slice_.owned_slots());
 
       CtrlMsg barrier;
       barrier.kind = CtrlMsg::Kind::kBarrier;
       barrier.shard = static_cast<std::uint32_t>(cfg_.me);
       barrier.superstep = s;
-      barrier.sent = counts.sent;
-      barrier.active = counts.active;
-      barrier.executed = counts.executed;
+      barrier.sent = counts.messages_sent;
+      barrier.active = counts.remaining_active;
+      barrier.executed = counts.executed_vertices;
       barrier.epoch = coord_epoch_;
       if constexpr (HasSerializableAggregator<Program>) {
-        const auto agg = engine_.take_aggregate_partial();
+        const auto agg = aggregate_to_bytes<Program>(engine_.aggregated());
         static_assert(sizeof(typename Program::aggregate_type) <=
                           CtrlMsg::kMaxAggregate,
                       "aggregate_type too large for the control plane");
@@ -258,12 +256,11 @@ class Worker {
         return kWorkerExitHalt;
       }
       if constexpr (HasSerializableAggregator<Program>) {
-        engine_.set_aggregated(
+        engine_.set_aggregated(aggregate_from_bytes<Program>(
             std::span<const std::uint8_t>(proceed.payload,
-                                          proceed.payload_len));
+                                          proceed.payload_len)));
       }
 
-      engine_.advance();
       maybe_fault(ShardFault::Phase::kBeforeCheckpoint, s);
       const std::uint64_t next = s + 1;
       if (checkpoint_due(next)) {
@@ -309,7 +306,7 @@ class Worker {
     ft::SnapshotDirectory dir(shard_dir(), cfg_.options->checkpoint.basename,
                               vfs, cfg_.options->checkpoint.keep);
     const auto validator = [this](const ft::EngineSnapshot& snap) {
-      return engine_.validate(snap, cfg_.graph_fp, bound_fp_);
+      return engine_.snapshot_mismatch(snap);
     };
     std::optional<ft::SnapshotDirectory::Entry> entry;
     try {
@@ -322,8 +319,7 @@ class Worker {
     }
     try {
       const ft::EngineSnapshot snap = ft::read_snapshot(entry->path, vfs);
-      engine_.initialize();
-      engine_.restore(snap);
+      engine_.restore_state(snap);
       resume = snap.meta.superstep;
       mode = snap.meta.mode;
       return true;
@@ -353,11 +349,10 @@ class Worker {
       }
       try {
         const ft::EngineSnapshot snap = ft::read_snapshot(it->path, vfs);
-        if (engine_.validate(snap, cfg_.graph_fp, bound_fp_) != nullptr) {
+        if (engine_.snapshot_mismatch(snap) != nullptr) {
           continue;
         }
-        engine_.initialize();
-        engine_.restore(snap);
+        engine_.restore_state(snap);
         resume = snap.meta.superstep;
         mode = snap.meta.mode;
         return true;
@@ -370,30 +365,35 @@ class Worker {
 
   /// Full-respawn rebuild of the in-flight state at a lightweight cut:
   /// every worker restored the SAME superstep, so nobody holds anybody's
-  /// retained frames. Each worker regenerates ALL its outboxes via resend
-  /// semantics as superstep resume-1, pushes the remote slices, and folds
-  /// every source's frame (its own included, at source position `me`) in
-  /// ascending source order into the current inbox — the original
-  /// superstep-(resume-1) exchange, bit for bit.
+  /// retained frames. The lightweight restore already replayed resend as
+  /// superstep resume-1 into ALL the outboxes; each worker pushes the
+  /// remote slices and folds every source's frame (its own included, at
+  /// source position `me`) in ascending source order into the inbox of
+  /// `resume` — the original superstep-(resume-1) exchange, bit for bit.
   void rebuild_all(std::uint64_t resume) {
-    engine_.regenerate_all(resume);
     for (std::size_t src = 0; src < part_.shards(); ++src) {
       floor_[src] = resume - 1;
     }
+    exchange(resume - 1, post_frames(resume - 1));
+  }
+
+  /// Takes every outbox as superstep `superstep`'s frames: pushes the
+  /// remote ones, retains them for peers that respawn behind us, and
+  /// returns the self frame.
+  std::vector<std::uint8_t> post_frames(std::uint64_t superstep) {
     RetainedGen gen;
-    gen.superstep = resume - 1;
+    gen.superstep = superstep;
     gen.frames.resize(part_.shards());
     for (std::size_t dst = 0; dst < part_.shards(); ++dst) {
-      gen.frames[dst] = engine_.take_outbox(dst);
+      gen.frames[dst] = engine_.destination().take_outbox(dst);
       if (dst != cfg_.me) {
-        push_frame(dst, resume - 1, gen.frames[dst]);
+        push_frame(dst, superstep, gen.frames[dst]);
       }
     }
     std::vector<std::uint8_t> self_frame = std::move(gen.frames[cfg_.me]);
     gen.frames[cfg_.me].clear();
     retained_.push_back(std::move(gen));
-    exchange(resume - 1, /*into_current=*/true, /*self_resend=*/false,
-             &self_frame);
+    return self_frame;
   }
 
   /// The coordinator is gone for good on the current link. With recovery
@@ -483,13 +483,12 @@ class Worker {
       if (!vfs.exists(shard_dir())) {
         vfs.mkdir(shard_dir());
       }
-      const auto snap =
-          engine_.capture(p.mode, resume, cfg_.graph_fp, bound_fp_);
+      const auto snap = engine_.capture_state(p.mode);
       ft::write_snapshot(ft::snapshot_path(shard_dir(), p.basename, resume),
                          snap, p.vfs);
       ft::SnapshotDirectory dir(shard_dir(), p.basename, p.vfs, p.keep);
       dir.prune([this](const ft::EngineSnapshot& s) {
-        return engine_.validate(s, cfg_.graph_fp, bound_fp_);
+        return engine_.snapshot_mismatch(s);
       });
     } catch (const std::exception&) {
       // Losing one checkpoint costs recomputation, not correctness; the
@@ -656,25 +655,20 @@ class Worker {
     return hang * 4.0;
   }
 
-  /// Applies every source's frame for `superstep` in ascending source
-  /// order — the determinism backbone. `self_resend` replays
-  /// Program::resend at our own position (lightweight rebuild);
-  /// otherwise `self_frame` is applied there.
-  void exchange(std::uint64_t superstep, bool into_current, bool self_resend,
-                const std::vector<std::uint8_t>* self_frame) {
+  /// Applies every source's frame for `superstep` into the inbox the
+  /// engine's next step consumes, in ascending source order, `self_frame`
+  /// at our own position — the determinism backbone.
+  void exchange(std::uint64_t superstep,
+                std::span<const std::uint8_t> self_frame) {
     for (std::size_t src = 0; src < part_.shards(); ++src) {
       if (src == cfg_.me) {
-        if (self_resend) {
-          engine_.resend_self(superstep + 1);
-        } else if (self_frame != nullptr) {
-          engine_.apply_frame(*self_frame, into_current);
-        }
+        apply_frame<Program>(self_frame, engine_);
         continue;
       }
       for (;;) {
         auto it = pending_[src].find(superstep);
         if (it != pending_[src].end()) {
-          engine_.apply_frame(it->second, into_current);
+          apply_frame<Program>(it->second, engine_);
           pending_[src].erase(pending_[src].begin(), std::next(it));
           floor_[src] = std::max(floor_[src], superstep + 1);
           break;
@@ -706,9 +700,8 @@ class Worker {
   WorkerConfig<Program> cfg_;
   std::unique_ptr<Transport> transport_;
   ShardPartition part_;
-  ShardEngine<Program> engine_;
-  std::uint64_t bound_fp_;
-  std::vector<std::size_t> owned_slots_;
+  ShardSlice slice_;
+  SliceEngine<Program> engine_;
 
   /// Received-but-unapplied frames per source, keyed by superstep.
   std::vector<std::map<std::uint64_t, std::vector<std::uint8_t>>> pending_;

@@ -304,6 +304,62 @@ TEST(ShardRuns, HashPartitionOverTcpMatchesToo) {
   expect_slots_eq(g, got, want, "sssp-hash-tcp/3");
 }
 
+/// FNV-1a over the raw bytes of the populated slots' values.
+template <typename Value>
+std::uint64_t value_digest(const graph::CsrGraph& g,
+                           const std::vector<Value>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(
+      values.data() + g.first_slot());
+  for (std::size_t i = 0; i < (g.num_slots() - g.first_slot()) * sizeof(Value);
+       ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ShardRuns, PageRankMultiShardBytesArePinned) {
+  // Beyond one shard, PageRank's double sums fold per source shard and
+  // then across sources in ascending order. That order is fixed by the
+  // shard count and partition scheme alone, not by the transport or the
+  // schedule, so the result bytes are pinned: any change to the fold order
+  // shows up here, not just one past the reassociation tolerance.
+  const auto g = testing::make_graph(
+      graph::rmat(9, 8, graph::RmatOptions{.seed = 41}));
+  apps::PageRank pr;
+  pr.rounds = 10;
+  struct Pin {
+    std::size_t shards;
+    shard::PartitionScheme scheme;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {2, shard::PartitionScheme::kBlock, 0x0d2931c887ba8c82ULL},
+      {4, shard::PartitionScheme::kBlock, 0x81f4401a6d26271bULL},
+      {2, shard::PartitionScheme::kHash, 0xa4729017293afcfbULL},
+      {4, shard::PartitionScheme::kHash, 0xc65c4f5c90d0f5f4ULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const auto transport :
+         {shard::TransportKind::kShm, shard::TransportKind::kTcp}) {
+      shard::ShardOptions opt;
+      opt.num_shards = pin.shards;
+      opt.partition = pin.scheme;
+      opt.transport = transport;
+      std::vector<double> got;
+      const auto outcome = shard::run_sharded(g, pr, opt, &got);
+      const std::string tag =
+          std::to_string(pin.shards) + " shards, " +
+          (pin.scheme == shard::PartitionScheme::kHash ? "hash" : "block") +
+          ", " + (transport == shard::TransportKind::kTcp ? "tcp" : "shm");
+      ASSERT_TRUE(outcome.ok()) << tag << ": " << outcome.error->what();
+      ASSERT_GE(got.size(), g.num_slots()) << tag;
+      EXPECT_EQ(value_digest(g, got), pin.digest)
+          << tag << ": 0x" << std::hex << value_digest(g, got);
+    }
+  }
+}
+
 TEST(ShardRuns, RejectsLightweightCheckpointsForAggregatorPrograms) {
   const auto g = testing::make_graph(graph::cycle_graph(8));
   TempDir dir;

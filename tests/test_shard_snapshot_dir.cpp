@@ -23,6 +23,13 @@
 namespace ipregel::shard {
 namespace {
 
+/// A worker's Hashmin engine over `slice`.
+SliceEngine<apps::Hashmin> slice_engine(const ShardSlice& slice) {
+  return SliceEngine<apps::Hashmin>(slice, apps::Hashmin{},
+                                    EngineOptions{.threads = 1}, nullptr,
+                                    ShardOutboxes<apps::Hashmin>(slice));
+}
+
 class TempDir {
  public:
   TempDir() {
@@ -91,22 +98,26 @@ TEST(ShardSnapshotDir, ForeignShardCountSliceIsQuarantinedNotResurrected) {
   const std::uint64_t graph_fp = 0x600D;
   const std::uint64_t program_fp = 0x77;
   const ShardPartition part2(g, 2);
-  ShardEngine<apps::Hashmin> engine(g, apps::Hashmin{}, part2, 0);
-  engine.initialize();
   const std::uint64_t fp_2shards = shard_fingerprint(program_fp, 2, 0);
   const std::uint64_t fp_4shards = shard_fingerprint(program_fp, 4, 0);
+  const ShardSlice slice(g, part2, 0, graph_fp, fp_2shards);
+  const ShardSlice foreign_slice(g, part2, 0, graph_fp, fp_4shards);
+  auto engine = slice_engine(slice);
+  auto foreign_engine = slice_engine(foreign_slice);
+  engine.initialize();
+  foreign_engine.initialize();
 
-  const auto own = engine.capture(ft::CheckpointMode::kHeavyweight, 2,
-                                  graph_fp, fp_2shards);
+  auto own = engine.capture_state(ft::CheckpointMode::kHeavyweight);
+  own.meta.superstep = 2;
   ft::write_snapshot(ft::snapshot_path(dir.str(), "snapshot", 2), own);
-  auto foreign = engine.capture(ft::CheckpointMode::kHeavyweight, 5,
-                                graph_fp, fp_4shards);
+  auto foreign = foreign_engine.capture_state(ft::CheckpointMode::kHeavyweight);
+  foreign.meta.superstep = 5;
   ft::write_snapshot(ft::snapshot_path(dir.str(), "snapshot", 5), foreign);
 
   ft::SnapshotDirectory snapdir(dir.str(), "snapshot", nullptr, 4);
   const auto entry = snapdir.newest_valid(
       [&](const ft::EngineSnapshot& s) {
-        return engine.validate(s, graph_fp, fp_2shards);
+        return engine.snapshot_mismatch(s);
       });
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->superstep, 2u);  // the older OWN slice, not the newest
@@ -119,12 +130,13 @@ TEST(ShardSnapshotDir, CorruptNewestSliceFallsBackWithinTheShard) {
       graph::rmat(6, 4, graph::RmatOptions{.seed = 7}));
   TempDir dir;
   const ShardPartition part2(g, 2);
-  ShardEngine<apps::Hashmin> engine(g, apps::Hashmin{}, part2, 1);
-  engine.initialize();
   const std::uint64_t fp = shard_fingerprint(0x77, 2, 1);
+  const ShardSlice slice(g, part2, 1, 0x600D, fp);
+  auto engine = slice_engine(slice);
+  engine.initialize();
   for (const std::uint64_t step : {1u, 2u, 3u}) {
-    const auto snap =
-        engine.capture(ft::CheckpointMode::kHeavyweight, step, 0x600D, fp);
+    auto snap = engine.capture_state(ft::CheckpointMode::kHeavyweight);
+    snap.meta.superstep = step;
     ft::write_snapshot(ft::snapshot_path(dir.str(), "snapshot", step), snap);
   }
   // Flip bytes in the middle of the newest file.
@@ -140,7 +152,7 @@ TEST(ShardSnapshotDir, CorruptNewestSliceFallsBackWithinTheShard) {
   ft::SnapshotDirectory snapdir(dir.str(), "snapshot", nullptr, 4);
   const auto entry = snapdir.newest_valid(
       [&](const ft::EngineSnapshot& s) {
-        return engine.validate(s, 0x600D, fp);
+        return engine.snapshot_mismatch(s);
       });
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->superstep, 2u);
